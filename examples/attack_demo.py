@@ -22,7 +22,7 @@ n=8 finishes in ~2 minutes; the code path is identical for --n 512.
 import argparse
 import time
 
-from repro.attack import AttackConfig, full_attack
+from repro.attack import AttackConfig, default_progress_printer, full_attack
 from repro.falcon import FalconParams, keygen
 from repro.leakage import CaptureCampaign, DeviceModel
 
@@ -76,7 +76,7 @@ def main() -> None:
         device=device,
         config=AttackConfig(distinguisher=args.distinguisher),
         message=b"the adversary signs whatever it wants",
-        progress=args.progress,
+        progress_callback=default_progress_printer if args.progress else None,
         store=source,
         session=args.session,
     )

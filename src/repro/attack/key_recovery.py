@@ -633,7 +633,6 @@ def recover_full_key(
     campaign,
     pk: PublicKey,
     config: AttackConfig | None = None,
-    progress: bool = False,
     progress_callback: ProgressCallback | None = None,
     n_workers: int | None = None,
     session=None,
@@ -653,28 +652,25 @@ def recover_full_key(
     ``config.n_workers`` (see :func:`recover_coefficients`; results are
     bit-identical either way). ``session`` makes the per-coefficient
     phase resumable across interrupted runs. ``progress_callback``
-    receives structured :class:`ProgressEvent` notifications;
-    ``progress=True`` without a callback installs the stock console
-    printer. On failure the raised :class:`KeyRecoveryError` carries
-    the per-coefficient evidence. ``journal`` receives the structured
-    event stream (see :func:`recover_coefficients`).
+    receives structured :class:`ProgressEvent` notifications (pass
+    :func:`default_progress_printer` for the stock console lines). On
+    failure the raised :class:`KeyRecoveryError` carries the
+    per-coefficient evidence. ``journal`` receives the structured event
+    stream (see :func:`recover_coefficients`).
     """
     cfg = config or AttackConfig()
     if n_workers is not None:
         cfg = dataclasses.replace(cfg, n_workers=n_workers)
-    callback = progress_callback
-    if callback is None and progress:
-        callback = default_progress_printer
 
     def _notify(event: ProgressEvent) -> None:
         if journal is not None:
             journal.emit_progress(event)
-        if callback is not None:
-            callback(event)
+        if progress_callback is not None:
+            progress_callback(event)
 
     with span("coefficients"):
         recs, records = recover_coefficients(
-            campaign, cfg, progress_callback=callback, session=session,
+            campaign, cfg, progress_callback=progress_callback, session=session,
             journal=journal,
         )
     surface = get_target(getattr(campaign, "target", DEFAULT_TARGET))

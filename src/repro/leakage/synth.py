@@ -9,8 +9,11 @@ The step-value computation itself is pluggable — see
 :mod:`repro.leakage.backend` for the ``python-ref`` (per-value
 softfloat) and ``numpy-batch`` (vectorized, bit-exact, orders of
 magnitude faster) implementations. :func:`mul_step_values` dispatches
-to the batch backend by default; hypothesis builders across the attack
-side all route through it.
+to the batch backend by default. It serves the capture side (and the
+profiled attacks' training labels, the masked-share capture and the
+complex-multiply model); the attack's hypothesis builders in
+:mod:`repro.attack.hypotheses` do not route through it — they predict
+each intermediate directly for every key guess.
 """
 
 from __future__ import annotations

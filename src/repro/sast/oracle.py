@@ -17,6 +17,10 @@ randomness held fixed) classifies each static finding:
 * ``REFUTED`` — the site executed under every seed with *identical*
   operand streams: the observed computation is secret-independent.
 
+The line-watch primitive, :func:`watch_lines`, is shared with the
+``contract:<id>`` attack surfaces (:mod:`repro.targets.traced`), so
+one engine records both the verdicts and the attacked operand streams.
+
 Declassify annotations get the same treatment: a ``# sast: declassify``
 scope whose code never runs is reported so annotations cannot outlive
 the code they excuse.
@@ -38,7 +42,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Container, Iterable, Mapping, Sequence
 
 from repro.sast.findings import Finding
 from repro.sast.project import Project
@@ -54,6 +58,7 @@ __all__ = [
     "declassify_watch_sites",
     "finding_sites",
     "run_oracle",
+    "watch_lines",
 ]
 
 CONFIRMED = "CONFIRMED"
@@ -473,12 +478,7 @@ class _Recorder:
         return self.results
 
     def visit(self, filename: str, lineno: int, frame: Any) -> None:
-        lines = self.watch.get(filename)
-        if lines is None:
-            return
-        site = lines.get(lineno)
-        if site is None:
-            return
+        site = self.watch[filename][lineno]
         digest = self._hashes.get(site)
         if digest is None:
             digest = self._hashes[site] = hashlib.sha256()
@@ -528,47 +528,66 @@ def _names_by_line(path: str, lines: set[int]) -> dict[int, tuple[str, ...]]:
     return {line: tuple(sorted(names)) for line, names in by_line.items()}
 
 
-def _trace_settrace(recorder: _Recorder, workload: Any) -> None:
-    watched_files = set(recorder.watch)
+def watch_lines(
+    watch: Mapping[str, Container[int]],
+    visit: Callable[[str, int, Any], None],
+    workload: Callable[[], None],
+) -> None:
+    """Run ``workload``, calling ``visit(filename, lineno, frame)`` on watched lines.
 
-    def local_trace(frame: Any, event: str, arg: Any) -> Any:
-        if event == "line":
-            recorder.visit(frame.f_code.co_filename, frame.f_lineno, frame)
+    ``watch`` maps a code object's ``co_filename`` to the line numbers to
+    report; ``visit`` fires just *before* such a line executes. The line
+    number is checked inline, so unwatched lines pay no extra Python
+    call. Uses ``sys.monitoring`` on 3.12+ (restarting events on exit,
+    so locations disabled during this run are live again for the next)
+    and ``sys.settrace`` otherwise, restoring the tracer that was installed
+    on entry — a host's debugger or coverage tracer survives the run.
+    """
+    mon = getattr(sys, "monitoring", None)
+    if mon is not None:
+        tool_id = mon.PROFILER_ID
+        mon.use_tool_id(tool_id, "repro-line-watch")
+        disable = mon.DISABLE
+
+        def on_line(code: Any, lineno: int) -> Any:
+            lines = watch.get(code.co_filename)
+            if lines is None or lineno not in lines:
+                return disable
+            visit(code.co_filename, lineno, sys._getframe(1))
+            return None
+
+        mon.register_callback(tool_id, mon.events.LINE, on_line)
+        mon.set_events(tool_id, mon.events.LINE)
+        try:
+            workload()
+        finally:
+            mon.set_events(tool_id, 0)
+            mon.register_callback(tool_id, mon.events.LINE, None)
+            mon.free_tool_id(tool_id)
+            mon.restart_events()
+        return
+
+    def file_tracer(filename: str, lines: Container[int]) -> Any:
+        def local_trace(frame: Any, event: str, arg: Any) -> Any:
+            if event == "line" and frame.f_lineno in lines:
+                visit(filename, frame.f_lineno, frame)
+            return local_trace
+
         return local_trace
 
+    tracers = {name: file_tracer(name, lines) for name, lines in watch.items()}
+
     def global_trace(frame: Any, event: str, arg: Any) -> Any:
-        if event == "call" and frame.f_code.co_filename in watched_files:
-            return local_trace
+        if event == "call":
+            return tracers.get(frame.f_code.co_filename)
         return None
 
+    previous = sys.gettrace()
     sys.settrace(global_trace)
     try:
         workload()
     finally:
-        sys.settrace(None)
-
-
-def _trace_monitoring(recorder: _Recorder, workload: Any) -> None:
-    mon = sys.monitoring
-    tool_id = mon.PROFILER_ID
-    mon.use_tool_id(tool_id, "repro-sast-oracle")
-    disable = mon.DISABLE
-
-    def on_line(code: Any, lineno: int) -> Any:
-        lines = recorder.watch.get(code.co_filename)
-        if lines is None or lineno not in lines:
-            return disable
-        recorder.visit(code.co_filename, lineno, sys._getframe(1))
-        return None
-
-    mon.register_callback(tool_id, mon.events.LINE, on_line)
-    mon.set_events(tool_id, mon.events.LINE)
-    try:
-        workload()
-    finally:
-        mon.set_events(tool_id, 0)
-        mon.register_callback(tool_id, mon.events.LINE, None)
-        mon.free_tool_id(tool_id)
+        sys.settrace(previous)
 
 
 def _backend_name() -> str:
@@ -598,8 +617,6 @@ def _worker_main(job_path: str) -> None:
     for _key, rel, line in job["declassify"]:
         add(rel, int(line), f"{rel}:{line}", overwrite=False)
     recorder = _Recorder(watch)
-    backend = _backend_name()
-    trace = _trace_monitoring if backend == "monitoring" else _trace_settrace
     workload_fn = _run_workload
     spec = job.get("workload")
     if spec:
@@ -612,11 +629,11 @@ def _worker_main(job_path: str) -> None:
         )
     for seed in job["seeds"]:
         recorder.begin_seed(seed)
-        trace(recorder, lambda: workload_fn(seed, int(job["n"])))
-        if backend == "monitoring":
-            sys.monitoring.restart_events()
+        watch_lines(
+            recorder.watch, recorder.visit, lambda: workload_fn(seed, int(job["n"]))
+        )
     payload = {
-        "backend": backend,
+        "backend": _backend_name(),
         "python": ".".join(str(v) for v in sys.version_info[:3]),
         "sites": recorder.finish(),
     }

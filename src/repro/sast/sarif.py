@@ -37,7 +37,7 @@ SARIF_SCHEMA_URI = (
 
 #: rule id -> SARIF level; contract violations and malformed annotations
 #: block the gate outright, everything else is a warning to triage
-_ERROR_RULES = ("CT", "AN", "BL")
+_ERROR_RULES = ("CT", "AN")
 
 #: taint-chain hops end in "(path:line)" when the evidence is located
 _HOP_LOCATION = re.compile(r"\((?P<path>[^()]+\.py):(?P<line>\d+)\)\s*$")
@@ -102,7 +102,7 @@ def render_sarif(
     """
     severity: dict[tuple, float] = {}
     if contract is not None:
-        from repro.sast.baseline import fingerprint
+        from repro.sast.contract import fingerprint
 
         for entry in contract.entries:
             if entry.exploitability is not None:

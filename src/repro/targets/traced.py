@@ -3,10 +3,11 @@
 The exploitability triage (:mod:`repro.sast.exploit`) gives every
 CONFIRMED contract entry a stable 12-hex ``entry_id``. This module turns
 that id into a registered :class:`~repro.targets.TargetPoint` — no
-hand-written surface code — by instrumenting the entry's source line
-with the same ``sys.settrace`` machinery the dynamic taint oracle uses
-(:mod:`repro.sast.oracle`) and exposing the line's live operands as the
-device's step values.
+hand-written surface code — by watching the entry's source line with
+the dynamic taint oracle's own line-watch primitive
+(:func:`repro.sast.oracle.watch_lines`: ``sys.monitoring`` on 3.12+,
+``sys.settrace`` otherwise, with any host tracer restored afterwards)
+and exposing the line's live operands as the device's step values.
 
 **Victim model.** The oracle's seeded workload
 (:func:`repro.sast.oracle._run_workload`) runs once in-process under
@@ -37,7 +38,6 @@ operands at the attacked hit — the leaking intermediate itself.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable
@@ -189,31 +189,19 @@ def _trace_hits(
     oracle records under), so operands assigned on the line itself show
     their pre-execution values and may be unset on the first hit.
     """
-    watched = {source_path, os.path.realpath(source_path)}
+    from repro.sast.oracle import watch_lines
+
     hits: list[tuple[int, ...]] = []
 
-    def local_trace(frame: Any, event: str, arg: Any) -> Any:
-        if (
-            event == "line"
-            and frame.f_lineno == lineno
-            and len(hits) < _MAX_HITS
-        ):
+    def visit(filename: str, line: int, frame: Any) -> None:
+        if len(hits) < _MAX_HITS:
             local_vars = frame.f_locals
-            hits.append(
-                tuple(_encode_word(local_vars.get(name)) for name in names)
-            )
-        return local_trace
+            hits.append(tuple(_encode_word(local_vars.get(name)) for name in names))
 
-    def global_trace(frame: Any, event: str, arg: Any) -> Any:
-        if event == "call" and frame.f_code.co_filename in watched:
-            return local_trace
-        return None
-
-    sys.settrace(global_trace)
-    try:
-        workload()
-    finally:
-        sys.settrace(None)
+    lines = {lineno}
+    watch_lines(
+        {source_path: lines, os.path.realpath(source_path): lines}, visit, workload
+    )
     return hits
 
 

@@ -14,13 +14,15 @@ import shutil
 
 import pytest
 
-from tests.sast_util import write_package
+from tests.sast_util import by_rule, findings_for, load_fixture, write_package
 
-from repro.sast.cli import main
+from repro.sast.cli import collect_findings, main
 from repro.sast.contract import (
     Contract,
     ContractEntry,
+    assign_occurrences,
     build_contract,
+    fingerprint,
     infer_leak_class,
     load_contract,
     render_contract,
@@ -98,6 +100,56 @@ def test_infer_leak_class_taxonomy():
     assert infer_leak_class("SF001", "falcon/sign.py", "repro.falcon.sign.sign_target", "t1 = c_fft * f_fft") == "mantissa-mul"
     assert infer_leak_class("SF001", "falcon/compress.py", "repro.falcon.compress.compress", "if coeff < 0:") == "sign"
     assert infer_leak_class("SF003", "math/ntt.py", "repro.math.ntt.ntt", "x % q") == "ancillary"
+
+
+# -- fingerprints ----------------------------------------------------------
+
+
+_LEAKY = """\
+def leak(sk):
+    if sk.f[0] > 0:
+        return 1
+    return 0
+"""
+
+
+def _fingerprints(tmp_path, files, package="pkg"):
+    project = load_fixture(tmp_path, files, package)
+    findings = collect_findings(project)
+    return findings, {fingerprint(f, project.root) for f in assign_occurrences(findings)}
+
+
+def test_fingerprint_survives_line_drift(tmp_path):
+    findings, before = _fingerprints(tmp_path / "a", {"leak.py": _LEAKY})
+    assert findings
+    # prepend a docstring + helper: every line number shifts, the
+    # fingerprint (function, normalized line text) does not
+    shifted = '"""Docstring pushing everything down."""\n\nX = 1\n\n' + _LEAKY
+    moved, after = _fingerprints(tmp_path / "b", {"leak.py": shifted})
+    assert [f.line for f in moved] != [f.line for f in findings]
+    assert after == before
+
+
+def test_editing_the_flagged_line_invalidates_the_entry(tmp_path):
+    _, before = _fingerprints(tmp_path / "a", {"leak.py": _LEAKY})
+    edited = _LEAKY.replace("sk.f[0] > 0", "sk.f[1] > 0")
+    new, after = _fingerprints(tmp_path / "b", {"leak.py": edited})
+    assert new                             # the edited line still leaks ...
+    assert after.isdisjoint(before)        # ... but matches no old entry
+
+
+def test_occurrences_disambiguate_identical_lines(tmp_path):
+    src = """\
+    def twice(sk):
+        a = sk.f[0] % 3
+        a = sk.f[0] % 3
+        return a
+    """
+    findings = by_rule(findings_for(tmp_path, {"dup.py": src}), "SF003")
+    assert len(findings) == 2
+    fps = {fingerprint(f, str(tmp_path)) for f in assign_occurrences(findings)}
+    assert len(fps) == 2                   # occurrence index separates them
+    assert {fp[4] for fp in fps} == {0, 1}
 
 
 # -- construction ----------------------------------------------------------

@@ -110,19 +110,6 @@ def test_sarif_clean_tree_is_valid_and_empty(tmp_path, capsys):
     assert doc["runs"][0]["results"] == []
 
 
-def test_sarif_baseline_suppressions(tmp_path, capsys):
-    root = _pkg(tmp_path, {"leak.py": _LEAKY})
-    baseline = str(tmp_path / "bl.json")
-    assert main([root, "--write-baseline", "--baseline", baseline]) == EXIT_CLEAN
-    capsys.readouterr()
-    assert main([root, "--baseline", baseline, "--format", "sarif"]) == EXIT_CLEAN
-    doc = json.loads(capsys.readouterr().out)
-    validate_sarif(doc)
-    results = doc["runs"][0]["results"]
-    assert results, "suppressed findings must still appear in the log"
-    assert all(r["suppressions"][0]["kind"] == "external" for r in results)
-
-
 def test_verify_sarif_on_real_tree_suppresses_contract_entries(capsys):
     """`verify --format sarif` on the committed tree: zero outstanding
     results, every contract-accepted finding present as suppressed."""
