@@ -1,12 +1,16 @@
 """Vectorized leakage predictions for key guesses.
 
-Every function returns a (D, G) Hamming-weight hypothesis matrix: the
-predicted HW of one architectural intermediate of the instrumented
+Every function returns a (D, G) uint8 Hamming-weight hypothesis matrix:
+the predicted HW of one architectural intermediate of the instrumented
 multiply (:mod:`repro.fpr.trace`), for each of D traces (rows, known
 operand varies) and G guesses (columns, secret candidate varies).
 
-Memory is bounded by chunking over guesses: a full (D, G) uint64
-intermediate matrix is never materialized beyond ``_CHUNK`` columns.
+The intermediate is computed in row blocks of about ``_BLOCK_CELLS``
+cells, each popcounted straight into its rows of the output, so no
+(D, G) word matrix is ever materialized. Masked products of at most 32
+bits are computed in uint32: the low 32 bits of a product depend only
+on the low 32 bits of its operands, so the narrower word is exact and
+halves the memory traffic of the ladder's hot path.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fpr.trace import LOW_BITS
-from repro.utils.bits import hamming_weight_array
+from repro.utils.bits import mask, popcount_u8
 
 __all__ = [
     "known_limbs",
@@ -34,7 +38,9 @@ _U = np.uint64
 _MASK25 = _U((1 << LOW_BITS) - 1)
 _MANT_MASK = _U((1 << 52) - 1)
 _IMPLICIT = _U(1 << 52)
-_CHUNK = 256
+#: Cells of intermediate per row block: 1 MiB of uint64 words, which
+#: stays in L2 while it is popcounted.
+_BLOCK_CELLS = 1 << 17
 
 
 def known_limbs(y_patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,17 +60,29 @@ def known_sign(y_patterns: np.ndarray) -> np.ndarray:
     return y >> _U(63)
 
 
-def _hw_outer(known: np.ndarray, guesses: np.ndarray, fn) -> np.ndarray:
-    """HW(fn(known[:, None], guess[None, :])) computed in guess chunks."""
-    known = np.asarray(known, dtype=np.uint64)
-    guesses = np.asarray(guesses, dtype=np.uint64)
-    d, g = known.shape[0], guesses.shape[0]
-    out = np.empty((d, g), dtype=np.int8)
-    for lo in range(0, g, _CHUNK):
-        hi = min(lo + _CHUNK, g)
-        vals = fn(known[:, None], guesses[None, lo:hi])
-        out[:, lo:hi] = hamming_weight_array(vals).astype(np.int8)
+def _hw_outer(fn, guesses: np.ndarray, *knowns: np.ndarray, dtype=_U) -> np.ndarray:
+    """uint8 (D, G) matrix of HW(fn(*knowns[:, None], guesses[None, :])).
+
+    Operands are taken as uint64 words, then wrapped to ``dtype``.
+    """
+    words = [np.asarray(a, dtype=_U).astype(dtype, copy=False) for a in (guesses, *knowns)]
+    guesses, knowns = words[0], words[1:]
+    d, g = knowns[0].shape[0], guesses.shape[0]
+    out = np.empty((d, g), dtype=np.uint8)
+    rows = max(1, _BLOCK_CELLS // max(g, 1))
+    for lo in range(0, d, rows):
+        block = fn(*(k[lo : lo + rows, None] for k in knowns), guesses[None, :])
+        popcount_u8(block, out=out[lo : lo + rows])
     return out
+
+
+def _hw_outer_pair(fn, guesses: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """:func:`_hw_outer` for the schoolbook sums, which need both known limbs.
+
+    A name of its own, so that the benchmark's planted-slowdown test
+    (``perfbench/tests``) can slow these builders by patching it.
+    """
+    return _hw_outer(fn, guesses, k1, k2)
 
 
 def hyp_product(known_limb: np.ndarray, guesses: np.ndarray, mask_bits: int | None = None) -> np.ndarray:
@@ -76,16 +94,23 @@ def hyp_product(known_limb: np.ndarray, guesses: np.ndarray, mask_bits: int | No
     bits, which depend only on the guessed low bits of the secret limb —
     this is what makes the LSB-to-MSB ladder sound.
     """
-    if mask_bits is not None:
-        m = _U((1 << mask_bits) - 1)
-        return _hw_outer(known_limb, guesses, lambda k, g: (k * g) & m)
-    return _hw_outer(known_limb, guesses, lambda k, g: k * g)
+    if mask_bits is None:
+        return _hw_outer(lambda k, g: k * g, guesses, known_limb)
+    dtype = np.uint32 if mask_bits <= 32 else _U
+    m = dtype(mask(mask_bits))
+
+    def masked_product(k, g):
+        prod = k * g
+        prod &= m
+        return prod
+
+    return _hw_outer(masked_product, guesses, known_limb, dtype=dtype)
 
 
 def hyp_s_lo(y_lo: np.ndarray, y_hi: np.ndarray, d_candidates: np.ndarray) -> np.ndarray:
     """HW of s_lo = (D*B >> 25) + D*A — the prune target for the low limb."""
     return _hw_outer_pair(
-        y_lo, y_hi, d_candidates, lambda b, a, d: ((d * b) >> _U(LOW_BITS)) + d * a
+        lambda b, a, d: ((d * b) >> _U(LOW_BITS)) + d * a, d_candidates, y_lo, y_hi
     )
 
 
@@ -95,10 +120,7 @@ def hyp_s_mid(
     """HW of s_mid = s_lo + C*B, with the low limb D already recovered."""
     d = _U(d_low)
     return _hw_outer_pair(
-        y_lo,
-        y_hi,
-        c_candidates,
-        lambda b, a, c: ((d * b) >> _U(LOW_BITS)) + d * a + c * b,
+        lambda b, a, c: ((d * b) >> _U(LOW_BITS)) + d * a + c * b, c_candidates, y_lo, y_hi
     )
 
 
@@ -112,27 +134,13 @@ def hyp_s_hi(
         s_mid = ((d * b) >> _U(LOW_BITS)) + d * a + c * b
         return (s_mid >> _U(LOW_BITS)) + c * a
 
-    return _hw_outer_pair(y_lo, y_hi, c_candidates, fn)
-
-
-def _hw_outer_pair(k1: np.ndarray, k2: np.ndarray, guesses: np.ndarray, fn) -> np.ndarray:
-    """Chunked HW for predictors needing two known arrays."""
-    k1 = np.asarray(k1, dtype=np.uint64)
-    k2 = np.asarray(k2, dtype=np.uint64)
-    guesses = np.asarray(guesses, dtype=np.uint64)
-    d, g = k1.shape[0], guesses.shape[0]
-    out = np.empty((d, g), dtype=np.int8)
-    for lo in range(0, g, _CHUNK):
-        hi = min(lo + _CHUNK, g)
-        vals = fn(k1[:, None], k2[:, None], guesses[None, lo:hi])
-        out[:, lo:hi] = hamming_weight_array(vals).astype(np.int8)
-    return out
+    return _hw_outer_pair(fn, c_candidates, y_lo, y_hi)
 
 
 def hyp_exp_sum(y_patterns: np.ndarray, guesses: np.ndarray) -> np.ndarray:
     """HW of the raw biased exponent sum E_x + E_y for guessed E_x."""
     ey = known_exponent(y_patterns)
-    return _hw_outer(ey, guesses, lambda k, g: k + g)
+    return _hw_outer(lambda k, g: k + g, guesses, ey)
 
 
 def hyp_exp_biased(y_patterns: np.ndarray, guesses: np.ndarray) -> np.ndarray:
@@ -148,7 +156,7 @@ def hyp_exp_biased(y_patterns: np.ndarray, guesses: np.ndarray) -> np.ndarray:
     ey = known_exponent(y_patterns)
     rebias = _U(EXP_REBIAS)
     m32 = _U(0xFFFFFFFF)
-    return _hw_outer(ey, guesses, lambda k, g: (k + g - rebias) & m32)
+    return _hw_outer(lambda k, g: (k + g - rebias) & m32, guesses, ey)
 
 
 def hyp_exp_out(y_patterns: np.ndarray, guesses: np.ndarray, significand: int) -> np.ndarray:  # sast: declassify(reason=hypothesis engine enumerates candidate intermediates; operates on attacker guesses, not victim control flow)
@@ -161,25 +169,20 @@ def hyp_exp_out(y_patterns: np.ndarray, guesses: np.ndarray, significand: int) -
     """
     if not 1 << 52 <= significand < 1 << 53:
         raise ValueError(f"significand out of range: {significand:#x}")
-    y = np.asarray(y_patterns, dtype=np.uint64)
-    guesses = np.asarray(guesses, dtype=np.uint64)
     mant = _U(significand) & _MANT_MASK
-    x_pats = ((guesses << _U(52)) | mant).view(np.float64)
-    y_f = y.view(np.float64)
-    d, g = y.shape[0], guesses.shape[0]
-    out = np.empty((d, g), dtype=np.int8)
-    for lo in range(0, g, _CHUNK):
-        hi = min(lo + _CHUNK, g)
+    x_patterns = (np.asarray(guesses, dtype=_U) << _U(52)) | mant
+
+    def exp_field(y, x):
         # Extreme wrong guesses overflow to inf — a legal (useless)
         # hypothesis for those columns, so silence the FP warning.
         with np.errstate(over="ignore", under="ignore"):
-            prod = y_f[:, None] * x_pats[None, lo:hi]
-        exp_field = (prod.view(np.uint64) >> _U(52)) & _U(0x7FF)
-        out[:, lo:hi] = hamming_weight_array(exp_field).astype(np.int8)
-    return out
+            prod = y.view(np.float64) * x.view(np.float64)
+        return (prod.view(_U) >> _U(52)) & _U(0x7FF)
+
+    return _hw_outer(exp_field, x_patterns, y_patterns)
 
 
 def hyp_sign(y_patterns: np.ndarray) -> np.ndarray:
     """(D, 2) hypothesis for the result sign: guess s_x in {0, 1}."""
     sy = known_sign(y_patterns)
-    return _hw_outer(sy, np.array([0, 1], dtype=np.uint64), lambda k, g: k ^ g)
+    return _hw_outer(lambda k, g: k ^ g, np.array([0, 1]), sy)

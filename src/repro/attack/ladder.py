@@ -137,5 +137,11 @@ def ladder_limb(  # sast: declassify(reason=extend-and-prune ladder ranks attack
         )
         stages.append(stage)
         survivors = stage.survivors
-    final_scores = stages[-1].scores[np.argsort(-stages[-1].scores, kind="stable")][: len(survivors)]
-    return LadderResult(candidates=survivors, scores=final_scores, stages=stages)
+    # Every survivor is a final-stage candidate (the zero extension), and
+    # the candidates are sorted, so each one's final score is a lookup.
+    final = stages[-1]
+    survivor_scores = final.scores[np.searchsorted(final.candidates, survivors)]
+    order = np.argsort(-survivor_scores, kind="stable")
+    return LadderResult(
+        candidates=survivors[order], scores=survivor_scores[order], stages=stages
+    )

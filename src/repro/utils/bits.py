@@ -17,6 +17,7 @@ from numpy.typing import NDArray
 __all__ = [
     "hamming_weight",
     "hamming_weight_array",
+    "popcount_u8",
     "hamming_distance",
     "bit_reverse",
     "mask",
@@ -24,7 +25,7 @@ __all__ = [
     "from_bits",
 ]
 
-# Lookup table for one byte; shared by scalar and vector paths.
+# Per-byte Hamming weights: the popcount of numpy < 2, which lacks bitwise_count.
 _BYTE_HW = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
@@ -49,15 +50,40 @@ def hamming_distance(a: int, b: int) -> int:
     return (a ^ b).bit_count()
 
 
-def hamming_weight_array(values: NDArray[Any], width: int = 64) -> NDArray[np.int64]:  # sast: declassify(reason=Hamming-weight leakage model primitive; computing HW of secret intermediates is its job)
-    """Vectorized Hamming weight of an unsigned integer array.
+def popcount_u8(values: NDArray[Any], out: NDArray[np.uint8] | None = None) -> NDArray[np.uint8]:  # sast: declassify(reason=Hamming-weight leakage model primitive; computing HW of secret intermediates is its job)
+    """Per-element Hamming weight of an integer array, as uint8.
+
+    Unsigned dtypes of any width are counted as they are (a uint32
+    array costs half the memory traffic of its uint64 cast); other
+    dtypes are cast to uint64 first. ``out``, if given, receives the
+    counts and must be a uint8 array of the input's shape. numpy >= 2
+    uses the hardware popcount; older numpy sums a per-byte lookup
+    table over a byte view, with the same result.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind != "u":
+        arr = arr.astype(np.uint64)
+    if out is None:
+        out = np.empty(arr.shape, dtype=np.uint8)
+    if hasattr(np, "bitwise_count"):  # numpy >= 2.0: hardware popcount
+        np.bitwise_count(arr, out=out)
+        return out
+    flat = np.ascontiguousarray(arr)
+    as_bytes = flat.view(np.uint8).reshape(*flat.shape, flat.dtype.itemsize)
+    np.sum(_BYTE_HW[as_bytes], axis=-1, dtype=np.uint8, out=out)
+    return out
+
+
+def hamming_weight_array(values: NDArray[Any], width: int = 64) -> NDArray[np.int64]:
+    """Vectorized Hamming weight of an unsigned integer array, as int64.
 
     Parameters
     ----------
     values:
         Array of unsigned integers. dtype must be an unsigned integer type
         of at most 64 bits; values wider than 64 bits must be split by the
-        caller (see :func:`repro.attack.hypotheses.product_hw`).
+        caller (the schoolbook sums of :mod:`repro.attack.hypotheses` are
+        formed from limbs so that they fit).
     width:
         Only the low ``width`` bits contribute (1..64).
     """
@@ -68,12 +94,7 @@ def hamming_weight_array(values: NDArray[Any], width: int = 64) -> NDArray[np.in
         arr = arr.astype(np.uint64)
     if width < 64:
         arr = arr & np.uint64(mask(width))
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0: hardware popcount
-        return np.bitwise_count(arr).astype(np.int64)
-    # Fallback: view as bytes and sum the per-byte weights.
-    flat = np.ascontiguousarray(arr, dtype=np.uint64)
-    as_bytes = flat.view(np.uint8).reshape(*flat.shape, 8)
-    return _BYTE_HW[as_bytes].sum(axis=-1).astype(np.int64)
+    return popcount_u8(arr).astype(np.int64)
 
 
 def bit_reverse(value: int, nbits: int) -> int:

@@ -12,6 +12,7 @@ from repro.utils.bits import (
     hamming_weight,
     hamming_weight_array,
     mask,
+    popcount_u8,
 )
 
 
@@ -99,6 +100,46 @@ class TestHammingWeightArray:
     def test_top_bit(self):
         vals = np.array([1 << 63], dtype=np.uint64)
         assert hamming_weight_array(vals)[0] == 1
+
+
+class TestPopcountFallback:
+    """numpy < 2 has no ``bitwise_count``; the byte-table path must agree."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(7)
+        for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+            info = np.iinfo(dtype)
+            vals = rng.integers(0, info.max, size=(37, 11), dtype=dtype, endpoint=True)
+            vals[0, 0], vals[0, 1] = 0, info.max
+            yield vals
+            yield vals[::3, 1::2]  # non-contiguous view
+        yield np.arange(-5, 5, dtype=np.int64)  # signed: counted as uint64 words
+
+    def test_fallback_matches_hardware_path(self, monkeypatch):
+        if not hasattr(np, "bitwise_count"):
+            pytest.skip("numpy < 2: the fallback is the only path")
+        inputs = list(self._inputs())
+        hw_u8 = [popcount_u8(v) for v in inputs]
+        hw_i64 = [hamming_weight_array(v) for v in inputs]
+        hw_w8 = [hamming_weight_array(v, width=8) for v in inputs]
+        monkeypatch.delattr(np, "bitwise_count")
+        for v, u8, i64, w8 in zip(inputs, hw_u8, hw_i64, hw_w8):
+            got = popcount_u8(v)
+            assert got.dtype == np.uint8 and got.shape == v.shape
+            np.testing.assert_array_equal(got, u8)
+            out = np.empty(v.shape, dtype=np.uint8)
+            assert popcount_u8(v, out=out) is out
+            np.testing.assert_array_equal(out, u8)
+            assert hamming_weight_array(v).dtype == np.int64
+            np.testing.assert_array_equal(hamming_weight_array(v), i64)
+            np.testing.assert_array_equal(hamming_weight_array(v, width=8), w8)
+
+    def test_matches_scalar_weight(self):
+        vals = np.array([0, 1, 0xFF, 0xFFFFFFFF, 1 << 63, (1 << 64) - 1], dtype=np.uint64)
+        got = popcount_u8(vals)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [hamming_weight(int(v)) for v in vals]
 
 
 class TestBitLists:
