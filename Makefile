@@ -69,7 +69,7 @@ bench:
 	$(PYTHON) scripts/check_bench_regression.py --baseline bench-baseline --current .
 
 # CI-sized perf trajectory: the same emitting benches at reduced trace
-# counts, then the regression gate. The capture-backend microbench runs
+# counts, then the regression gate. The capture-engine microbench runs
 # in the same process as the throughput bench so its measured rates land
 # in BENCH_throughput.json's capture_backends block.
 bench-smoke:
@@ -83,12 +83,11 @@ bench-smoke:
 # 2-worker fan-out, a materialized campaign store, and a checkpointed
 # session resume (scripts/e2e_smoke.py). Catches pickling, per-target
 # seeding, shard layout, and fingerprint regressions in one run.
-# SMOKE_BACKEND selects the capture step-value engine and SMOKE_TARGET
-# the leakage surface; CI fans the smoke over both matrices.
-SMOKE_BACKEND ?= numpy-batch
+# SMOKE_TARGET selects the leakage surface; CI fans the smoke over every
+# registered surface.
 SMOKE_TARGET ?= fpr-mul
 smoke:
-	$(PYTHON) scripts/e2e_smoke.py --backend $(SMOKE_BACKEND) --target $(SMOKE_TARGET)
+	$(PYTHON) scripts/e2e_smoke.py --target $(SMOKE_TARGET)
 
 # Orchestration smoke (scripts/farm_smoke.py): a 2-worker farm drains
 # two mixed-target n=8 campaigns end-to-end, one canceled mid-flight

@@ -18,15 +18,18 @@ import numpy as np
 from _emit import emit_bench, stage_seconds_from_snapshot
 
 from repro.attack import AttackConfig, full_attack, recover_coefficients
-from repro.leakage import CampaignStore, CaptureCampaign, DeviceModel, get_backend
+from repro.fpr.trace import fpr_mul_trace
+from repro.leakage import CampaignStore, CaptureCampaign, DeviceModel
+from repro.leakage.synth import mul_step_values
 from repro.obs import scoped_registry
 
 #: Signings per coefficient — the paper budget by default; ``make
 #: bench-smoke`` shrinks both so CI can afford the run.
 E2E_TRACES = int(os.environ.get("FALCON_BENCH_TRACES", "10000"))
 THROUGHPUT_TRACES = int(os.environ.get("FALCON_BENCH_THROUGHPUT_TRACES", "1500"))
-#: Operand batch for the capture-backend microbench; python-ref runs a
-#: 1/50 slice of it (it is the slow path the speedup is measured against).
+#: Operand batch for the capture-engine microbench; the fpr_mul_trace
+#: reference loop runs a 1/50 slice of it (it is the slow path the
+#: speedup is measured against).
 BACKEND_VALUES = int(os.environ.get("FALCON_BENCH_BACKEND_VALUES", "200000"))
 #: Signings per target for the per-surface throughput block; every
 #: registered surface runs one campaign of this size.
@@ -35,15 +38,22 @@ SURFACE_TRACES = int(os.environ.get("FALCON_BENCH_SURFACE_TRACES", "800"))
 _backend_stats: dict[str, dict[str, float]] = {}
 
 
+def _reference_step_values(x: int, y: np.ndarray) -> np.ndarray:
+    """The step matrix built one softfloat ``fpr_mul_trace`` per operand."""
+    return np.array([fpr_mul_trace(x, int(v)).values for v in y], dtype=np.uint64)
+
+
 def _capture_backend_stats() -> dict[str, dict[str, float]]:
-    """traces/s of both step-value engines on one shared operand batch.
+    """traces/s of the capture engine and of its reference loop.
 
     Measured once per process and cached: the numbers feed both the
     speedup assertion and the ``capture_backends`` block of
-    ``BENCH_throughput.json``. The python-ref engine only runs a slice
-    of the batch — its per-second rate is what matters, not its wall
-    clock — and that slice doubles as a bit-exactness check against the
-    vectorized results.
+    ``BENCH_throughput.json``, whose ``numpy-batch`` entry is
+    :func:`mul_step_values` and whose ``python-ref`` entry is the
+    per-value :func:`fpr_mul_trace` loop. The reference only runs a
+    slice of the batch — its per-second rate is what matters, not its
+    wall clock — and that slice doubles as a bit-exactness check
+    against the vectorized results.
     """
     if _backend_stats:
         return _backend_stats
@@ -53,20 +63,20 @@ def _capture_backend_stats() -> dict[str, dict[str, float]]:
 
     # steady-state rates: one small warm-up call per engine pays the
     # import/allocator cold start outside the measured window
-    get_backend("numpy-batch").step_values(x, y[:512])
-    get_backend("python-ref").step_values(x, y[:64])
+    mul_step_values(x, y[:512])
+    _reference_step_values(x, y[:64])
 
     # best-of-3 for the vectorized engine: a full-size block costs ~10ms,
     # and the first call's page faults would otherwise dominate the rate
     t_fast = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        fast_vals = get_backend("numpy-batch").step_values(x, y)
+        fast_vals = mul_step_values(x, y)
         t_fast = min(t_fast, time.perf_counter() - t0)
 
     n_ref = max(1, BACKEND_VALUES // 50)
     t0 = time.perf_counter()
-    ref_vals = get_backend("python-ref").step_values(x, y[:n_ref])
+    ref_vals = _reference_step_values(x, y[:n_ref])
     t_ref = time.perf_counter() - t0
 
     np.testing.assert_array_equal(fast_vals[:n_ref], ref_vals)
@@ -223,18 +233,18 @@ def test_store_backed_attack_cost_split(victim, tmp_path):
 
 
 def test_capture_backend_throughput():
-    """numpy-batch vs python-ref on the same operands: bit-exact results
-    (checked inside the measurement helper) and a >= 50x rate gain —
-    the whole point of vectorizing the capture side."""
+    """mul_step_values vs the fpr_mul_trace loop on the same operands:
+    bit-exact results (checked inside the measurement helper) and a
+    >= 50x rate gain — the whole point of vectorizing the capture side."""
     stats = _capture_backend_stats()
     fast = stats["numpy-batch"]["traces_per_s"]
     ref = stats["python-ref"]["traces_per_s"]
     speedup = fast / ref
     print(
-        f"\ncapture backends: numpy-batch {fast:,.0f} traces/s, "
-        f"python-ref {ref:,.0f} traces/s ({speedup:.0f}x)"
+        f"\ncapture: mul_step_values {fast:,.0f} traces/s, "
+        f"fpr_mul_trace reference {ref:,.0f} traces/s ({speedup:.0f}x)"
     )
-    assert speedup >= 50.0, f"expected >= 50x over python-ref, got {speedup:.1f}x"
+    assert speedup >= 50.0, f"expected >= 50x over the reference, got {speedup:.1f}x"
 
 
 def test_streaming_cpa_matches_one_shot(victim):

@@ -14,7 +14,6 @@ representation error). Then:
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import sys
 import time
@@ -634,7 +633,6 @@ def recover_full_key(
     pk: PublicKey,
     config: AttackConfig | None = None,
     progress_callback: ProgressCallback | None = None,
-    n_workers: int | None = None,
     session=None,
     journal=None,
 ) -> KeyRecoveryResult:
@@ -648,9 +646,7 @@ def recover_full_key(
     :attr:`KeyRecoveryResult.recovered_values`.
 
     ``campaign`` is any :class:`~repro.leakage.store.TraceSource` (live
-    campaign or disk-backed store). ``n_workers`` overrides
-    ``config.n_workers`` (see :func:`recover_coefficients`; results are
-    bit-identical either way). ``session`` makes the per-coefficient
+    campaign or disk-backed store). ``session`` makes the per-coefficient
     phase resumable across interrupted runs. ``progress_callback``
     receives structured :class:`ProgressEvent` notifications (pass
     :func:`default_progress_printer` for the stock console lines). On
@@ -659,8 +655,6 @@ def recover_full_key(
     stream (see :func:`recover_coefficients`).
     """
     cfg = config or AttackConfig()
-    if n_workers is not None:
-        cfg = dataclasses.replace(cfg, n_workers=n_workers)
 
     def _notify(event: ProgressEvent) -> None:
         if journal is not None:

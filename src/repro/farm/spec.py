@@ -99,6 +99,9 @@ class CampaignSpec:
     def from_jsonable(cls, obj: dict[str, Any]) -> "CampaignSpec":
         data = dict(obj)
         cap = dict(data.pop("capture", {}))
+        # Jobs queued before the capture engine was fixed carry a
+        # "backend" name; every value produced the same traces.
+        cap.pop("backend", None)
         atk = dict(data.pop("attack", {}))
         if "exponent_guesses" in atk:
             atk["exponent_guesses"] = tuple(atk["exponent_guesses"])

@@ -75,7 +75,6 @@ def run_campaign(
         message=spec.message.encode(),
         mode=spec.capture.mode,
         seed=spec.capture.seed,
-        backend=spec.capture.backend,
         target=spec.capture.target,
         progress_callback=progress_callback,
         n_workers=n_workers,

@@ -14,14 +14,6 @@ messages and packages the result as :class:`TraceSet` objects.
 """
 
 from repro.leakage.model import HammingWeightModel, HammingDistanceModel, WeightedBitModel
-from repro.leakage.backend import (
-    BACKEND_NAMES,
-    CaptureBackend,
-    DEFAULT_BACKEND,
-    NumpyBatchBackend,
-    PythonRefBackend,
-    get_backend,
-)
 from repro.leakage.device import DeviceModel
 from repro.leakage.synth import synthesize_mul_traces, trace_layout, TraceLayout
 from repro.leakage.traceset import TraceSet
@@ -34,12 +26,6 @@ __all__ = [
     "HammingWeightModel",
     "HammingDistanceModel",
     "WeightedBitModel",
-    "BACKEND_NAMES",
-    "CaptureBackend",
-    "DEFAULT_BACKEND",
-    "NumpyBatchBackend",
-    "PythonRefBackend",
-    "get_backend",
     "DeviceModel",
     "synthesize_mul_traces",
     "trace_layout",

@@ -133,35 +133,48 @@ class TestStoreInfo:
         ).materialize(tmp_path / "store", targets=[0])
         assert main(["store-info", "--store", str(tmp_path / "store")]) == 0
         out = capsys.readouterr().out
-        assert "backend=numpy-batch" in out
         assert "target=samplerz" in out
 
     def test_legacy_manifest_without_backend_or_target(self, tmp_path, capsys):
-        """A hand-written pre-backend/pre-surface manifest (the on-disk
-        format of earlier releases) must still summarize cleanly, with
-        both fields defaulting to the only engines that existed then."""
-        import json
-
-        store = tmp_path / "legacy"
-        store.mkdir()
-        (store / "manifest.json").write_text(json.dumps({
-            "format": "falcon-down-campaign-store",
-            "version": 1,
-            "n": 8,
-            "n_targets": 8,
-            "n_traces": 100,
-            "mode": "direct",
-            "seed": 2021,
-            # no "backend" / "target": written before those keys existed
-            "device": {
-                "gain": 1.0, "offset": 0.0, "noise_sigma": 10.0,
-                "samples_per_step": 1, "jitter": 0.0, "seed": 2021,
-                "model": "HammingWeightModel",
-            },
-            "targets": {"0": {"n_kept": [100, 100]}},
-        }))
+        """A hand-written pre-surface manifest (the on-disk format of
+        earlier releases) must still summarize cleanly, with the target
+        defaulting to the only surface that existed then."""
+        store = _legacy_manifest(tmp_path)
         assert main(["store-info", "--store", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "backend=numpy-batch" in out
         assert "target=fpr-mul" in out
         assert "shards: 1/8 complete" in out
+
+    def test_legacy_manifest_with_backend_key(self, tmp_path, capsys):
+        """Manifests written while the capture engine was selectable carry
+        a "backend" key; it is ignored (every engine gave the same shards)."""
+        store = _legacy_manifest(tmp_path, backend="python-ref", target="fpr-mul")
+        assert main(["store-info", "--store", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert "backend=" not in out
+        assert "target=fpr-mul" in out
+        assert "shards: 1/8 complete" in out
+
+
+def _legacy_manifest(tmp_path, **extra):
+    import json
+
+    store = tmp_path / "legacy"
+    store.mkdir()
+    (store / "manifest.json").write_text(json.dumps({
+        "format": "falcon-down-campaign-store",
+        "version": 1,
+        "n": 8,
+        "n_targets": 8,
+        "n_traces": 100,
+        "mode": "direct",
+        "seed": 2021,
+        "device": {
+            "gain": 1.0, "offset": 0.0, "noise_sigma": 10.0,
+            "samples_per_step": 1, "jitter": 0.0, "seed": 2021,
+            "model": "HammingWeightModel",
+        },
+        "targets": {"0": {"n_kept": [100, 100]}},
+        **extra,
+    }))
+    return store

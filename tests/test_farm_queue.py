@@ -61,6 +61,24 @@ class TestSpecRoundTrip:
                   attempts=2, error="boom", done_seq=None)
         assert Job.decode(job.encode()).__dict__ == job.__dict__
 
+    def test_legacy_capture_backend_key_dropped(self):
+        """Jobs queued while the capture engine was selectable carry a
+        ``capture.backend`` name; they decode to the same spec as one
+        without it (every engine produced the same traces)."""
+        record = """{
+          "format": "falcon-down-farm-job", "version": 1,
+          "job_id": "000007-legacy", "state": "pending",
+          "spec": {"key_seed": "k", "n": 8,
+                   "capture": {"n_traces": 500, "mode": "direct", "seed": 11,
+                               "backend": "python-ref", "target": "fpr-mul"}}
+        }"""
+        legacy = Job.decode(record)
+        current = Job.decode(record.replace('"backend": "python-ref", ', ""))
+        assert legacy.spec.capture == current.spec.capture == CaptureConfig(
+            n_traces=500, mode="direct", seed=11, target="fpr-mul"
+        )
+        assert legacy.spec == current.spec
+
     def test_foreign_record_rejected(self):
         with pytest.raises(ValueError):
             Job.decode(json.dumps({"format": "something-else"}))
